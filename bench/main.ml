@@ -786,11 +786,16 @@ let perf_report ~scale ~jobs ~json =
   let fleet_cold_out = Filename.concat fleet_root "cold" in
   let fleet_warm_out = Filename.concat fleet_root "warm" in
   let fleet_cold, fleet_cold_s = wall (fun () -> fleet_drain fleet_cold_out) in
-  let store_hit0 = store_counter "serve_cache_store_hit" in
+  let store_hit0 = store_counter "serve_cache_store_hit"
+  and store_miss0 = store_counter "serve_cache_store_miss" in
   let fleet_warm, fleet_warm_s = wall (fun () -> fleet_drain fleet_warm_out) in
+  (* The restart drain's own store lookups: the share that found a match
+     set on disk, in [0, 1]. *)
   let restart_store_hits = store_counter "serve_cache_store_hit" - store_hit0 in
+  let restart_store_misses = store_counter "serve_cache_store_miss" - store_miss0 in
   let restart_warm_hit_rate =
-    float_of_int restart_store_hits /. float_of_int fleet_designs
+    float_of_int restart_store_hits
+    /. float_of_int (max 1 (restart_store_hits + restart_store_misses))
   in
   let fleet_throughput = float_of_int fleet_jobs /. max 1e-9 fleet_warm_s in
   let slurp path =

@@ -94,6 +94,17 @@ let compare a b =
 
 let equal a b = a.pos = b.pos && a.neg = b.neg
 
+let hash c =
+  let h = (c.pos * 0x2545F4914F6CDD1D) + c.neg in
+  (h lxor (h lsr 29)) land max_int
+
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash = hash
+end)
+
 let to_string ?names c =
   if is_universe c then "<1>"
   else

@@ -73,5 +73,11 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 (** Mask equality — cubes are canonical, so this is semantic equality. *)
 
+val hash : t -> int
+(** Non-negative mix of both masks, consistent with {!equal}. *)
+
+module Tbl : Hashtbl.S with type key = t
+(** Hash tables keyed by cube, on {!equal} and {!hash}. *)
+
 val to_string : ?names:string array -> t -> string
 (** e.g. ["a b' d"]; ["<1>"] for the universe. *)

@@ -37,7 +37,10 @@ let best_literal f =
       | Some _ | None -> if n >= 2 then Some (lit, n) else best)
     counts None
 
-let rec factor f =
+(* [scratch] is created once per top-level call: kernels are scored by
+   quotient size alone, and all kernels of one node are scored against
+   the same dividend, whose cubes the scratch hashes once. *)
+let rec factor_with scratch f =
   if Sop.is_zero f then Const false
   else if Sop.is_one f then Const true
   else
@@ -48,8 +51,8 @@ let rec factor f =
       let divisor =
         let kernels = Kernel.all f in
         let score k =
-          let q, _ = Sop.divide f k.Kernel.kernel in
-          (Sop.num_cubes q - 1) * (Sop.num_literals k.Kernel.kernel - 1)
+          (Sop.quotient_size scratch f k.Kernel.kernel - 1)
+          * (Sop.num_literals k.Kernel.kernel - 1)
         in
         let best =
           List.fold_left
@@ -74,10 +77,12 @@ let rec factor f =
         if Sop.is_zero q then mk_or (List.map of_cube (Sop.cubes f))
         else begin
           (* f = d*q + r; factor the three pieces recursively. *)
-          let fd = factor d and fq = factor q in
+          let fd = factor_with scratch d and fq = factor_with scratch q in
           let dq = mk_and [ fd; fq ] in
-          if Sop.is_zero r then dq else mk_or [ dq; factor r ]
+          if Sop.is_zero r then dq else mk_or [ dq; factor_with scratch r ]
         end)
+
+let factor f = factor_with (Sop.scratch ()) f
 
 let rec num_literals = function
   | Lit _ -> 1

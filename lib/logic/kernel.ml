@@ -3,74 +3,77 @@ type t = {
   kernel : Sop.t;
 }
 
+module Seen = Hashtbl.Make (struct
+  type t = Sop.t
+
+  let equal = Sop.equal
+
+  let hash s =
+    List.fold_left (fun h c -> ((h * 31) + Cube.hash c) land max_int) 0 (Sop.cubes s)
+end)
+
+(* How many cubes of [g] carry each literal: one pass over the set bits
+   of every cube's masks. *)
+let literal_counts g =
+  let pos = Array.make Cube.max_vars 0 and neg = Array.make Cube.max_vars 0 in
+  let rec tally counts mask v =
+    if mask <> 0 then begin
+      if mask land 1 <> 0 then counts.(v) <- counts.(v) + 1;
+      tally counts (mask lsr 1) (v + 1)
+    end
+  in
+  List.iter
+    (fun (c : Cube.t) ->
+      tally pos c.pos 0;
+      tally neg c.neg 0)
+    (Sop.cubes g);
+  (pos, neg)
+
 (* Classic recursive kernel enumeration (Brayton & McMullen).  [j] is the
    smallest variable allowed as the next co-kernel literal, preventing the
    same kernel from being produced along several literal orders. *)
 let all f =
   let results = ref [] in
-  let seen = Hashtbl.create 64 in
+  let seen = Seen.create 64 in
   let add cokernel kernel =
-    let key = List.map Cube.literals (Sop.cubes kernel) in
-    if not (Hashtbl.mem seen key) then begin
-      Hashtbl.add seen key ();
+    if not (Seen.mem seen kernel) then begin
+      Seen.add seen kernel ();
       results := { cokernel; kernel } :: !results
     end
   in
-  let literal_count g v =
-    List.fold_left
-      (fun acc c -> if Cube.has_var c v then acc + 1 else acc)
-      0 (Sop.cubes g)
-  in
   let rec kernels j g cokernel =
     if Sop.num_cubes g >= 2 && Sop.is_cube_free g then add cokernel g;
-    for v = j to Cube.max_vars - 1 do
-      if literal_count g v >= 2 then begin
-        (* Quotient by each phase of the literal that appears twice. *)
-        List.iter
-          (fun phase ->
-            let c = Cube.lit v phase in
-            let q, _ = Sop.divide_by_cube g c in
-            if Sop.num_cubes q >= 2 then begin
-              let lcc = Sop.largest_common_cube q in
-              (* Skip when the largest common cube reuses an already-tried
-                 variable: that kernel was found earlier. *)
-              let reuses_smaller =
-                List.exists (fun (u, _) -> u < v) (Cube.literals lcc)
-              in
-              if not reuses_smaller then begin
-                let qfree = Sop.make_cube_free q in
-                let full_co =
-                  match Cube.inter cokernel c with
-                  | Some base ->
-                    (match Cube.inter base lcc with
-                    | Some full -> Some full
-                    | None -> None)
-                  | None -> None
-                in
-                match full_co with
-                | Some co -> kernels (v + 1) qfree co
-                | None -> ()
-              end
-            end)
-          [ true; false ]
+    let pos, neg = literal_counts g in
+    (* [g] is SCC, so [g / c] has exactly one cube per cube of [g]
+       carrying [c] (see {!Sop.divide_by_cube}): the literal count alone
+       decides whether the quotient has the two cubes a kernel needs. *)
+    let try_literal v phase count =
+      if count >= 2 then begin
+        let c = Cube.lit v phase in
+        let q, _ = Sop.divide_by_cube g c in
+        let lcc = Sop.largest_common_cube q in
+        (* Skip when the largest common cube reuses an already-tried
+           variable: that kernel was found earlier. *)
+        if Cube.support lcc land ((1 lsl v) - 1) = 0 then begin
+          let qfree =
+            if Cube.is_universe lcc then q else fst (Sop.divide_by_cube q lcc)
+          in
+          match Cube.inter cokernel c with
+          | Some base -> (
+            match Cube.inter base lcc with
+            | Some co -> kernels (v + 1) qfree co
+            | None -> ())
+          | None -> ()
+        end
       end
+    in
+    for v = j to Cube.max_vars - 1 do
+      try_literal v true pos.(v);
+      try_literal v false neg.(v)
     done
   in
   if Sop.num_cubes f >= 2 then kernels 0 (Sop.make_cube_free f) Cube.universe;
   List.rev !results
-
-let level0 f =
-  let ks = all f in
-  List.filter
-    (fun k ->
-      List.for_all
-        (fun other ->
-          Sop.equal other.kernel k.kernel
-          || not
-               (let q, _ = Sop.divide k.kernel other.kernel in
-                not (Sop.is_zero q)))
-        ks)
-    ks
 
 let literal_savings uses k =
   let kernel_lits = Sop.num_literals k.kernel in

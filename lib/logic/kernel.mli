@@ -12,12 +12,16 @@ type t = {
 }
 
 val all : Sop.t -> t list
-(** Every kernel/co-kernel pair, by the classic recursive algorithm.
-    Includes [f] itself (with universe co-kernel) when [f] is cube-free
-    and has two or more cubes. *)
+(** Every kernel/co-kernel pair, by the classic recursive algorithm, in
+    order of discovery. Includes [f] itself (with universe co-kernel) when
+    [f] is cube-free and has two or more cubes.
 
-val level0 : Sop.t -> t list
-(** Kernels having no kernels other than themselves. *)
+    Each step of the recursion costs time linear in the size of the
+    current quotient [g]: one pass over the masks counts every literal,
+    and a quotient by a literal ({!Sop.divide_by_cube}) is built in one
+    pass with no single-cube-containment check, because the quotient of
+    an SCC cover by a cube is itself SCC, duplicate-free and sorted.
+    Kernels are deduplicated by hashing their cube masks. *)
 
 val literal_savings : Sop.t list -> t -> int
 (** [literal_savings uses k]: literals saved by extracting kernel [k] as a

@@ -56,39 +56,76 @@ let map_vars f t =
            (List.map (fun (v, ph) -> (f v, ph)) (Cube.literals c)))
   |> of_cubes
 
+(* A cover [t] that is SCC (single-cube-containment-free, the invariant
+   of this type) divides by one cube into a quotient that needs no
+   re-canonicalization. Every divisible cube [f_a] contains [c] and loses
+   exactly [c]'s literals, i.e. the constants [c.pos] and [c.neg] are
+   subtracted from its masks. Hence the quotient is
+   - duplicate-free: [f_a / c = f_b / c] gives [f_a = f_b];
+   - SCC: [f_a / c] covering [f_b / c] gives [f_a] covering [f_b];
+   - sorted: subtracting the same constants from every mask keeps
+     {!Cube.compare} order.
+   The remainder is a subsequence of [t], so it is canonical too. *)
 let divide_by_cube t c =
-  let q, r =
-    List.fold_left
-      (fun (q, r) cu ->
-        match Cube.divide cu c with
-        | Some quot -> (quot :: q, r)
-        | None -> (q, cu :: r))
-      ([], []) t
-  in
-  (of_cubes q, of_cubes r)
+  List.partition_map
+    (fun cu -> match Cube.divide cu c with Some q -> Left q | None -> Right cu)
+    t
 
-let divide t d =
+(* [q] is in [f / c] iff [q] shares no variable with [c] and [q c] is a
+   cube of [f]; [in_quotient] checks this for every cube in [rest]. *)
+let in_quotient cubes_of_f rest q =
+  List.for_all
+    (fun c ->
+      Cube.support q land Cube.support c = 0
+      && match Cube.inter q c with Some qc -> Cube.Tbl.mem cubes_of_f qc | None -> false)
+    rest
+
+let index_cubes tbl t = List.iter (fun c -> Cube.Tbl.replace tbl c ()) t
+
+(* Weak division by hashed membership. For [d = c_1 + ... + c_m], the
+   quotient [f / d] is the intersection of the [f / c_j]; by the argument
+   above [f / c_1] is already canonical, so the intersection is [f / c_1]
+   filtered by [in_quotient] — at most [m - 1] hash probes per cube of
+   [f], given [cubes_of_f] indexing [f]. Expected O(|f| |d|). *)
+let quotient cubes_of_f t d =
   match d with
   | [] -> invalid_arg "Sop.divide: divisor is zero"
   | first :: rest ->
-    let q0, _ = divide_by_cube t first in
-    let quotient =
-      List.fold_left
-        (fun acc c ->
-          let qi, _ = divide_by_cube t c in
-          (* Intersection of cube sets. *)
-          List.filter (fun cu -> List.exists (Cube.equal cu) qi) acc)
-        q0 rest
-    in
-    let quotient = of_cubes quotient in
-    if is_zero quotient then (zero, t)
-    else begin
-      let covered = product quotient d in
-      let remainder =
-        List.filter (fun c -> not (List.exists (Cube.equal c) covered)) t
-      in
-      (quotient, of_cubes remainder)
-    end
+    List.filter_map
+      (fun cu ->
+        match Cube.divide cu first with
+        | Some q when in_quotient cubes_of_f rest q -> Some q
+        | Some _ | None -> None)
+      t
+
+(* The cubes [q c_j] of [q * d] are cubes of [f], and exactly the ones the
+   remainder drops. *)
+let divide t d =
+  let cubes_of_f = Cube.Tbl.create (List.length t) in
+  index_cubes cubes_of_f t;
+  match quotient cubes_of_f t d with
+  | [] -> (zero, t)
+  | q ->
+    List.iter
+      (fun qi ->
+        List.iter (fun c -> Option.iter (Cube.Tbl.remove cubes_of_f) (Cube.inter qi c)) d)
+      q;
+    (q, List.filter (Cube.Tbl.mem cubes_of_f) t)
+
+type scratch = {
+  cubes_of_f : unit Cube.Tbl.t;
+  mutable dividend : t;  (** The cover [cubes_of_f] indexes. *)
+}
+
+let scratch () = { cubes_of_f = Cube.Tbl.create 64; dividend = zero }
+
+let quotient_size s t d =
+  if s.dividend != t then begin
+    Cube.Tbl.clear s.cubes_of_f;
+    index_cubes s.cubes_of_f t;
+    s.dividend <- t
+  end;
+  List.length (quotient s.cubes_of_f t d)
 
 let largest_common_cube = function
   | [] -> Cube.universe

@@ -57,10 +57,32 @@ val map_vars : (int -> int) -> t -> t
 
 val divide_by_cube : t -> Cube.t -> t * t
 (** Algebraic division [(quotient, remainder)]: [f = q*c + r] with no cube
-    of [r] divisible by [c]. *)
+    of [r] divisible by [c]. One O(|f|) pass: because [f] is free of
+    single-cube containment, its quotient by a cube is duplicate-free,
+    containment-free and already sorted (every divisible cube loses the
+    same literals), so neither side is re-canonicalized. *)
 
 val divide : t -> t -> t * t
-(** Weak (algebraic) division by a multi-cube divisor. *)
+(** Weak (algebraic) division by a multi-cube divisor:
+    [(quotient, remainder)] with [f = q*d + r]. The quotient is
+    [f / c_1] kept where, for every other cube [c_j] of [d], [q c_j] is a
+    cube of [f] found by hashing — expected O(|f| |d|), no quadratic list
+    passes. Raises [Invalid_argument] when [d] is zero. *)
+
+type scratch
+(** Reusable working storage for {!quotient_size}: a hash set of the
+    cubes of the last dividend it saw. It is mutable; give each top-level
+    caller its own and never share one between domains. *)
+
+val scratch : unit -> scratch
+(** A fresh, empty {!scratch}. *)
+
+val quotient_size : scratch -> t -> t -> int
+(** [quotient_size s f d = num_cubes (fst (divide f d))] without building
+    the quotient or the remainder. The cubes of [f] are hashed only when
+    [f] differs (physically) from the previous dividend, so scoring many
+    divisors of one [f] costs O(|f|) plus O(|f| |d|) per divisor. Raises
+    [Invalid_argument] when [d] is zero. *)
 
 val largest_common_cube : t -> Cube.t
 (** Largest cube dividing every cube ([universe] when none / empty sop). *)

@@ -105,6 +105,16 @@ let test_sop_weak_division () =
   Alcotest.(check bool) "q = c+d" true (Sop.equal q (Sop.sum (Sop.var 2) (Sop.var 3)));
   Alcotest.(check bool) "r = e" true (Sop.equal r (Sop.var 4))
 
+(* a x + x b by a + x b: [x] is in f / a, and x * (x b) is a cube of f,
+   but [x] is not in f / (x b) = 1 — the quotient is empty. *)
+let test_sop_divide_shared_literal () =
+  let a = Cube.lit 0 true in
+  let xb = Cube.of_literals [ (1, true); (2, true) ] in
+  let f = sop [ Cube.of_literals [ (0, true); (1, true) ]; xb ] in
+  let q, r = Sop.divide f (sop [ a; xb ]) in
+  Alcotest.(check bool) "q = 0" true (Sop.is_zero q);
+  Alcotest.(check bool) "r = f" true (Sop.equal r f)
+
 let random_sop rng nvars ncubes_max =
   Sop.of_cubes
     (List.init (Rng.range rng 1 ncubes_max) (fun _ ->
@@ -217,15 +227,6 @@ let test_kernels_cube_free () =
 let test_kernels_single_cube_none () =
   let f = sop [ c_ab ] in
   Alcotest.(check int) "no kernels" 0 (List.length (Kernel.all f))
-
-let test_level0_subset () =
-  let cube a b = Cube.of_literals [ (a, true); (b, true) ] in
-  let f = sop [ cube 0 2; cube 0 3; cube 1 2; cube 1 3; Cube.lit 5 true ] in
-  let all = Kernel.all f and l0 = Kernel.level0 f in
-  Alcotest.(check bool) "level0 subset" true
-    (List.for_all
-       (fun k -> List.exists (fun x -> Sop.equal x.Kernel.kernel k.Kernel.kernel) all)
-       l0)
 
 (* ------------------------- Factor ------------------------- *)
 
@@ -564,6 +565,290 @@ let prop_complement =
         let inputs = Array.init 6 (fun _ -> Rng.bits64 rng) in
         Sop.eval64 g inputs = Int64.lognot (Sop.eval64 f inputs))
 
+(* ------------------------- Differential ------------------------- *)
+
+(* The list-based division, kernel and factoring code that the hashed,
+   linear-pass versions in the library replaced, kept as the oracle: the
+   textbook definitions with quadratic containment and intersection
+   scans. It works on cube lists; the library must agree with it
+   structurally, cube order, kernel order and tie-breaks included. *)
+module Oracle = struct
+  let of_cubes cubes =
+    let sorted = List.sort_uniq Cube.compare cubes in
+    List.filter
+      (fun c ->
+        not (List.exists (fun d -> (not (Cube.equal c d)) && Cube.covers d c) sorted))
+      sorted
+
+  let product a b =
+    of_cubes
+      (List.concat_map (fun ca -> List.filter_map (fun cb -> Cube.inter ca cb) b) a)
+
+  let divide_by_cube t c =
+    let q, r =
+      List.fold_left
+        (fun (q, r) cu ->
+          match Cube.divide cu c with
+          | Some quot -> (quot :: q, r)
+          | None -> (q, cu :: r))
+        ([], []) t
+    in
+    (of_cubes q, of_cubes r)
+
+  let divide t d =
+    match d with
+    | [] -> invalid_arg "Oracle.divide"
+    | first :: rest ->
+      let q0, _ = divide_by_cube t first in
+      let quotient =
+        of_cubes
+          (List.fold_left
+             (fun acc c ->
+               let qi, _ = divide_by_cube t c in
+               List.filter (fun cu -> List.exists (Cube.equal cu) qi) acc)
+             q0 rest)
+      in
+      if quotient = [] then ([], t)
+      else
+        let covered = product quotient d in
+        let kept = List.filter (fun c -> not (List.exists (Cube.equal c) covered)) t in
+        (quotient, of_cubes kept)
+
+  let largest_common_cube = function
+    | [] -> Cube.universe
+    | first :: rest -> List.fold_left Cube.common first rest
+
+  let make_cube_free t =
+    let c = largest_common_cube t in
+    if Cube.is_universe c then t else fst (divide_by_cube t c)
+
+  let kernels f =
+    let results = ref [] in
+    let seen = Hashtbl.create 64 in
+    let add cokernel kernel =
+      let key = List.map Cube.literals kernel in
+      if not (Hashtbl.mem seen key) then begin
+        Hashtbl.add seen key ();
+        results := (cokernel, kernel) :: !results
+      end
+    in
+    let literal_count g v =
+      List.fold_left (fun acc c -> if Cube.has_var c v then acc + 1 else acc) 0 g
+    in
+    let rec go j g cokernel =
+      if List.length g >= 2 && Cube.is_universe (largest_common_cube g) then
+        add cokernel g;
+      for v = j to Cube.max_vars - 1 do
+        if literal_count g v >= 2 then
+          List.iter
+            (fun phase ->
+              let c = Cube.lit v phase in
+              let q, _ = divide_by_cube g c in
+              if List.length q >= 2 then begin
+                let lcc = largest_common_cube q in
+                if not (List.exists (fun (u, _) -> u < v) (Cube.literals lcc)) then
+                  match Option.bind (Cube.inter cokernel c) (Cube.inter lcc) with
+                  | Some co -> go (v + 1) (make_cube_free q) co
+                  | None -> ()
+              end)
+            [ true; false ]
+      done
+    in
+    if List.length f >= 2 then go 0 (make_cube_free f) Cube.universe;
+    List.rev !results
+
+  let mk_and fs =
+    match List.concat_map (function Factor.And gs -> gs | f -> [ f ]) fs with
+    | [] -> Factor.Const true
+    | [ f ] -> f
+    | fs -> Factor.And fs
+
+  let mk_or fs =
+    match List.concat_map (function Factor.Or gs -> gs | f -> [ f ]) fs with
+    | [] -> Factor.Const false
+    | [ f ] -> f
+    | fs -> Factor.Or fs
+
+  let of_cube c = mk_and (List.map (fun (v, ph) -> Factor.Lit (v, ph)) (Cube.literals c))
+
+  let best_literal f =
+    let counts = Hashtbl.create 16 in
+    List.iter
+      (fun c ->
+        List.iter
+          (fun lit ->
+            Hashtbl.replace counts lit
+              (1 + Option.value ~default:0 (Hashtbl.find_opt counts lit)))
+          (Cube.literals c))
+      f;
+    Hashtbl.fold
+      (fun lit n best ->
+        match best with
+        | Some (_, bn) when bn >= n -> best
+        | Some _ | None -> if n >= 2 then Some (lit, n) else best)
+      counts None
+
+  let num_literals t = List.fold_left (fun acc c -> acc + Cube.num_literals c) 0 t
+
+  let rec factor f =
+    match f with
+    | [] -> Factor.Const false
+    | [ c ] when Cube.is_universe c -> Factor.Const true
+    | [ c ] -> of_cube c
+    | _ -> (
+      let score k =
+        let q, _ = divide f k in
+        (List.length q - 1) * (num_literals k - 1)
+      in
+      let best =
+        List.fold_left
+          (fun acc (_, k) ->
+            let s = score k in
+            match acc with
+            | Some (_, bs) when bs >= s -> acc
+            | Some _ | None -> if s > 0 then Some (k, s) else acc)
+          None (kernels f)
+      in
+      let divisor =
+        match best with
+        | Some (d, _) -> Some d
+        | None -> Option.map (fun ((v, ph), _) -> [ Cube.lit v ph ]) (best_literal f)
+      in
+      match divisor with
+      | None -> mk_or (List.map of_cube f)
+      | Some d -> (
+        match divide f d with
+        | [], _ -> mk_or (List.map of_cube f)
+        | q, r ->
+          let dq = mk_and [ factor d; factor q ] in
+          if r = [] then dq else mk_or [ dq; factor r ]))
+end
+
+(* Wide SOPs in the shape of [Gen.pla]'s nodes: 16 variables, 20-60
+   cubes of 2-9 literals — large enough that single-cube containment
+   bites, which [arb_sop] never reaches. Up to three products of small
+   sums over disjoint variables are mixed in, since random cubes alone
+   almost never give a kernel more than one quotient cube, and without
+   that no kernel scores and no score ties. *)
+let arb_wide_sop =
+  let open QCheck.Gen in
+  let cube vars lo hi =
+    map2
+      (fun lits vs -> Cube.of_literals (List.filteri (fun i _ -> i < lits) vs))
+      (int_range lo hi)
+      (shuffle_l vars >>= fun vs ->
+       flatten_l (List.map (fun v -> map (fun ph -> (v, ph)) bool) vs))
+  in
+  let small vars = list_size (int_range 2 4) (cube vars 1 3) in
+  let product =
+    map2
+      (fun a b -> List.concat_map (fun x -> List.filter_map (Cube.inter x) b) a)
+      (small (List.init 8 Fun.id))
+      (small (List.init 8 (fun i -> i + 8)))
+  in
+  let gen =
+    int_range 20 60 >>= fun n ->
+    list_size (int_range 0 3) product >>= fun products ->
+    let structured = List.concat products in
+    list_repeat (max 0 (n - List.length structured)) (cube (List.init 16 Fun.id) 2 9)
+    >|= fun random -> Sop.of_cubes (structured @ random)
+  in
+  QCheck.make ~print:Sop.to_string gen
+
+let same_cubes a b = List.equal Cube.equal a b
+
+(* Divisors worth trying on [f]: its kernels (the divisors factoring and
+   extraction use), single literals, and a literal of one cube plus a
+   whole other cube — the shape in which a candidate quotient cube shares
+   a literal with a later divisor cube and must be rejected. *)
+let divisors_of f =
+  let cubes = Sop.cubes f in
+  let first_literal c =
+    match Cube.literals c with (v, ph) :: _ -> Cube.lit v ph | [] -> c
+  in
+  List.map snd (Oracle.kernels cubes)
+  @ List.init 16 (fun v -> [ Cube.lit v (v mod 2 = 0) ])
+  @ List.concat_map
+      (fun a -> List.map (fun b -> Oracle.of_cubes [ first_literal a; b ]) cubes)
+      (List.filteri (fun i _ -> i < 8) cubes)
+
+let prop_divide_matches_oracle =
+  QCheck.Test.make ~name:"divide == list oracle on wide sops" ~count:40 arb_wide_sop
+    (fun f ->
+      let scratch = Sop.scratch () in
+      List.for_all
+        (fun d ->
+          let q, r = Sop.divide f (Sop.of_cubes d) in
+          let oq, orr = Oracle.divide (Sop.cubes f) d in
+          same_cubes (Sop.cubes q) oq
+          && same_cubes (Sop.cubes r) orr
+          && Sop.quotient_size scratch f (Sop.of_cubes d) = List.length oq)
+        (divisors_of f))
+
+(* Pins the argument in [Sop.divide_by_cube]: the quotient and remainder
+   of an SCC cover by a cube are already canonical (sorted, duplicate-
+   and containment-free), so skipping [of_cubes] loses nothing. *)
+let prop_divide_by_cube_matches_oracle =
+  QCheck.Test.make ~name:"divide_by_cube == list oracle, already canonical" ~count:100
+    arb_wide_sop (fun f ->
+      let canonical s = Sop.equal s (Sop.of_cubes (Sop.cubes s)) in
+      List.for_all
+        (fun c ->
+          let q, r = Sop.divide_by_cube f c in
+          let oq, orr = Oracle.divide_by_cube (Sop.cubes f) c in
+          canonical q && canonical r && same_cubes (Sop.cubes q) oq
+          && same_cubes (Sop.cubes r) orr)
+        (List.init 32 (fun i -> Cube.lit (i / 2) (i mod 2 = 0))
+        @ List.map fst (Oracle.kernels (Sop.cubes f))))
+
+let prop_kernels_match_oracle =
+  QCheck.Test.make ~name:"Kernel.all == list oracle on wide sops" ~count:40 arb_wide_sop
+    (fun f ->
+      let got =
+        List.map (fun k -> (k.Kernel.cokernel, Sop.cubes k.Kernel.kernel)) (Kernel.all f)
+      in
+      List.equal
+        (fun (c, k) (oc, ok) -> Cube.equal c oc && same_cubes k ok)
+        got
+        (Oracle.kernels (Sop.cubes f)))
+
+let prop_factor_matches_oracle =
+  QCheck.Test.make ~name:"Factor.factor == list oracle on wide sops" ~count:40
+    arb_wide_sop (fun f -> Factor.factor f = Oracle.factor (Sop.cubes f))
+
+(* FNV-1a over the subject graph's gates and outputs. *)
+let subject_digest (s : Subject.t) =
+  let module Fnv = Cals_util.Tables.Fnv64 in
+  let h = ref Fnv.empty in
+  Array.iter
+    (function
+      | Subject.Pi i -> h := Fnv.int (Fnv.int !h 0) i
+      | Subject.Inv a -> h := Fnv.int (Fnv.int !h 1) a
+      | Subject.Nand2 (a, b) -> h := Fnv.int (Fnv.int (Fnv.int !h 2) a) b)
+    s.Subject.gates;
+  Array.iter (fun (n, d) -> h := Fnv.int (Fnv.string !h n) d) s.Subject.outputs;
+  Printf.sprintf "%016Lx" !h
+
+(* The subject graphs of the presets at scale 0.25, pinned from the
+   list-based implementation: faster algebra must decompose them
+   bit-identically. too_large's small multi-level nodes are where kernel
+   scores tie, so it pins the tie-break. *)
+let test_subject_digests_pinned () =
+  let module Presets = Cals_workload.Presets in
+  List.iter
+    (fun (name, net, gates, digest) ->
+      let s = Decompose.subject_of_network net in
+      Alcotest.(check int) (name ^ " gates") gates (Subject.num_gates s);
+      Alcotest.(check string) (name ^ " digest") digest (subject_digest s))
+    [
+      ("pdc", Presets.pdc_like ~scale:0.25 ~seed:1 (), 7788, "0b41291ae63e4e86");
+      ("spla", Presets.spla_like ~scale:0.25 ~seed:1 (), 9933, "1fc79a95149dae6d");
+      ( "too_large",
+        Presets.too_large_like ~scale:0.25 ~seed:1 (),
+        6865,
+        "2906b40a6052bb79" );
+    ]
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "logic"
@@ -588,6 +873,8 @@ let () =
           Alcotest.test_case "cofactor" `Quick test_sop_cofactor;
           Alcotest.test_case "divide by cube" `Quick test_sop_divide_by_cube;
           Alcotest.test_case "weak division" `Quick test_sop_weak_division;
+          Alcotest.test_case "divide shared literal" `Quick
+            test_sop_divide_shared_literal;
           Alcotest.test_case "division identity" `Quick test_sop_division_identity;
           Alcotest.test_case "cube free" `Quick test_sop_cube_free;
           Alcotest.test_case "complement" `Quick test_sop_complement;
@@ -600,13 +887,15 @@ let () =
           qc prop_product_is_and;
           qc prop_division_identity;
           qc prop_complement;
+          qc prop_divide_matches_oracle;
+          qc prop_divide_by_cube_matches_oracle;
         ] );
       ( "kernel",
         [
           Alcotest.test_case "textbook kernels" `Quick test_kernels_textbook;
           Alcotest.test_case "kernels cube-free" `Quick test_kernels_cube_free;
           Alcotest.test_case "single cube none" `Quick test_kernels_single_cube_none;
-          Alcotest.test_case "level0 subset" `Quick test_level0_subset;
+          qc prop_kernels_match_oracle;
         ] );
       ( "factor",
         [
@@ -614,6 +903,7 @@ let () =
           Alcotest.test_case "saves literals" `Quick test_factor_saves_literals;
           Alcotest.test_case "constants" `Quick test_factor_constants;
           qc prop_factor_equiv;
+          qc prop_factor_matches_oracle;
         ] );
       ( "network",
         [
@@ -643,6 +933,8 @@ let () =
           Alcotest.test_case "constants" `Quick test_decompose_constants;
           Alcotest.test_case "factored literal bound" `Quick
             test_factored_literals_bound;
+          Alcotest.test_case "subject digests pinned" `Quick
+            test_subject_digests_pinned;
         ] );
       ( "blif",
         [
